@@ -12,11 +12,20 @@
 //!   updated with `atomically_m` transactions (§4.7's STM), trading
 //!   copy-on-write costs for optimistic, lock-free readers.
 //!
-//! Both expose the same monadic operations, so the server and the
-//! property tests are backend-agnostic. Expiry is hybrid: reads treat
-//! stale entries as misses immediately (lazy), and the server runs a
-//! [`janitor`](crate::expiry::janitor) thread off the runtime timer wheel
-//! to reclaim memory for keys that are never touched again (eager).
+//! Every operation is written once, as a closure over the shard's
+//! `Arc<ShardMap>`, and one private executor runs it under whichever
+//! guard the store was built with. The closure reads through the `Arc`
+//! and writes through [`Arc::make_mut`], which is the whole backend
+//! contract: under the mutex the `Arc` is never shared, so `make_mut`
+//! writes in place; under STM the closure sees the transaction's
+//! snapshot, so the first `make_mut` copies the shard and only an
+//! attempt that made a copy commits a write. A read-only outcome (a
+//! `get`, a failed `add`, a stale `cas`) therefore never copies the map.
+//!
+//! Expiry is hybrid: reads treat stale entries as misses immediately
+//! (lazy), and the server runs a [`janitor`](crate::expiry::janitor)
+//! thread off the runtime timer wheel to reclaim memory for keys that are
+//! never touched again (eager).
 
 use std::collections::HashMap;
 use std::fmt;
@@ -25,18 +34,22 @@ use std::sync::Arc;
 use bytes::{BufferPool, Bytes};
 use eveth_core::sync::Mutex as MonadicMutex;
 use eveth_core::time::{Nanos, SECS};
-use eveth_core::{do_m, ThreadM};
-use eveth_stm::{atomically_m_with_stats, StmResult, TVar, Txn, TxnStats};
+use eveth_core::ThreadM;
+use eveth_stm::{atomically_m_with_stats, TVar, Txn, TxnStats};
 use parking_lot::Mutex as PlMutex;
 
 use crate::stats::ShardStats;
 
-/// Which synchronization primitive guards each shard.
+/// Which synchronization primitive guards each shard. Both run the same
+/// operation bodies; only the executor differs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
-    /// Monadic mutex per shard (paper §4.7 scheduler extension).
+    /// Monadic mutex per shard (paper §4.7 scheduler extension): an
+    /// operation runs in place under the lock.
     Mutex,
-    /// `TVar` per shard, updated transactionally (paper §4.7 STM).
+    /// `TVar` per shard, updated transactionally (paper §4.7 STM): an
+    /// operation runs on the transaction's snapshot, copying the shard on
+    /// its first write.
     Stm,
 }
 
@@ -126,18 +139,18 @@ type ShardMap = HashMap<Box<[u8]>, Entry>;
 /// never contended.
 struct MutexShard {
     gate: MonadicMutex,
-    map: Arc<PlMutex<ShardMap>>,
+    map: Arc<PlMutex<Arc<ShardMap>>>,
 }
 
-/// A shard held in a `TVar`. The map is wrapped in an `Arc` so a
-/// transactional read is O(1); writers clone-on-write before committing.
-struct StmShard {
-    cell: TVar<Arc<ShardMap>>,
-}
-
+/// The shards, each holding its map in an `Arc` so one operation body
+/// serves both guards (see [`ShardedStore::on_shard`]). Under the mutex
+/// the `Arc` is never cloned, so `Arc::make_mut` never copies; under STM
+/// the `TVar` and the transaction's snapshot share it, so a transactional
+/// read is O(1) and the first `make_mut` of a writing attempt copies the
+/// shard.
 enum Shards {
     Mutex(Vec<MutexShard>),
-    Stm(Vec<StmShard>),
+    Stm(Vec<TVar<Arc<ShardMap>>>),
 }
 
 /// The sharded store shared by all server threads.
@@ -164,17 +177,11 @@ impl ShardedStore {
                 (0..n)
                     .map(|_| MutexShard {
                         gate: MonadicMutex::new(),
-                        map: Arc::new(PlMutex::new(HashMap::new())),
+                        map: Arc::default(),
                     })
                     .collect(),
             ),
-            Backend::Stm => Shards::Stm(
-                (0..n)
-                    .map(|_| StmShard {
-                        cell: TVar::new(Arc::new(HashMap::new())),
-                    })
-                    .collect(),
-            ),
+            Backend::Stm => Shards::Stm((0..n).map(|_| TVar::new(Arc::default())).collect()),
         };
         Arc::new(ShardedStore {
             shards,
@@ -211,15 +218,52 @@ impl ShardedStore {
         (fnv1a(key) % self.shard_count() as u64) as usize
     }
 
-    /// Runs a store transaction with this store's shared contention
-    /// counters attached — every STM arm goes through here so
-    /// [`ShardedStore::stm_retries`] sees all of them.
-    fn stm_atomically<A, F>(&self, body: F) -> ThreadM<A>
+    /// Runs `op` on shard `idx`'s map under the store's guard — the only
+    /// place the backend is chosen. `op` reads through the `Arc` and
+    /// writes through `Arc::make_mut`:
+    ///
+    /// * mutex: one `with_nbio` critical section; the `Arc` is unshared,
+    ///   so `make_mut` writes in place;
+    /// * STM: one transaction (counted into [`ShardedStore::stm_stats`]);
+    ///   `op` runs on the snapshot, and the map is written back only if
+    ///   `make_mut` replaced the `Arc` — a read-only outcome commits no
+    ///   write and pays no copy.
+    fn on_shard<R, F>(&self, idx: usize, op: F) -> ThreadM<R>
     where
-        A: Send + 'static,
-        F: Fn(&mut Txn) -> StmResult<A> + Send + Sync + 'static,
+        R: Send + 'static,
+        F: Fn(&mut Arc<ShardMap>) -> R + Send + Sync + 'static,
     {
-        atomically_m_with_stats(body, Arc::clone(&self.stm_stats))
+        match &self.shards {
+            Shards::Mutex(shards) => {
+                let shard = &shards[idx];
+                let map = Arc::clone(&shard.map);
+                shard.gate.with_nbio(move || op(&mut map.lock()))
+            }
+            Shards::Stm(cells) => {
+                let cell = cells[idx].clone();
+                let body = move |txn: &mut Txn| {
+                    // Holding `snapshot` keeps the map shared, so any
+                    // write by `op` shows up as a new `Arc`.
+                    let snapshot = txn.read(&cell)?;
+                    let mut map = Arc::clone(&snapshot);
+                    let out = op(&mut map);
+                    if !Arc::ptr_eq(&map, &snapshot) {
+                        txn.write(&cell, map);
+                    }
+                    Ok(out)
+                };
+                atomically_m_with_stats(body, Arc::clone(&self.stm_stats))
+            }
+        }
+    }
+
+    /// One counter per shard, read off each shard's lock (all zeros under
+    /// STM, which has no locks).
+    fn gate_stat(&self, stat: fn(&MonadicMutex) -> u64) -> Vec<u64> {
+        match &self.shards {
+            Shards::Mutex(shards) => shards.iter().map(|s| stat(&s.gate)).collect(),
+            Shards::Stm(cells) => vec![0; cells.len()],
+        }
     }
 
     /// Total nanoseconds threads spent waiting on shard locks (summed
@@ -227,10 +271,7 @@ impl ShardedStore {
     /// reports. Always 0 for the STM backend, whose contention shows up
     /// as transaction retries instead of lock waits.
     pub fn lock_wait_ns(&self) -> u64 {
-        match &self.shards {
-            Shards::Mutex(shards) => shards.iter().map(|s| s.gate.contended_ns()).sum(),
-            Shards::Stm(_) => 0,
-        }
+        self.shard_lock_waits().iter().sum()
     }
 
     /// Per-shard lock-wait nanoseconds, indexed by shard (all zeros for
@@ -239,18 +280,12 @@ impl ShardedStore {
     /// the wait concentrated on the hot key's shard rather than smeared
     /// across the store.
     pub fn shard_lock_waits(&self) -> Vec<u64> {
-        match &self.shards {
-            Shards::Mutex(shards) => shards.iter().map(|s| s.gate.contended_ns()).collect(),
-            Shards::Stm(shards) => vec![0; shards.len()],
-        }
+        self.gate_stat(MonadicMutex::contended_ns)
     }
 
     /// Shard-lock acquisitions that had to wait (0 for the STM backend).
     pub fn lock_contentions(&self) -> u64 {
-        match &self.shards {
-            Shards::Mutex(shards) => shards.iter().map(|s| s.gate.contentions()).sum(),
-            Shards::Stm(_) => 0,
-        }
+        self.gate_stat(MonadicMutex::contentions).iter().sum()
     }
 
     /// Transaction attempts re-executed because of contention (conflict
@@ -276,22 +311,7 @@ impl ShardedStore {
     pub fn get(self: &Arc<Self>, key: Bytes, now: Nanos) -> ThreadM<Option<Entry>> {
         let this = Arc::clone(self);
         let idx = self.shard_of(&key);
-        let found = match &self.shards {
-            Shards::Mutex(shards) => {
-                let shard = &shards[idx];
-                let map = Arc::clone(&shard.map);
-                shard
-                    .gate
-                    .with_nbio(move || map.lock().get(key.as_ref()).cloned())
-            }
-            Shards::Stm(shards) => {
-                let cell = shards[idx].cell.clone();
-                self.stm_atomically(move |txn| {
-                    let map = txn.read(&cell)?;
-                    Ok(map.get(key.as_ref()).cloned())
-                })
-            }
-        };
+        let found = self.on_shard(idx, move |map| map.get(key.as_ref()).cloned());
         found.map(move |entry| {
             let stats = &this.stats[idx];
             match entry {
@@ -320,24 +340,9 @@ impl ShardedStore {
         let idx = self.shard_of(&key);
         let mut entry = entry;
         entry.version = self.stamp();
-        let stored = match &self.shards {
-            Shards::Mutex(shards) => {
-                let shard = &shards[idx];
-                let map = Arc::clone(&shard.map);
-                shard.gate.with_nbio(move || {
-                    map.lock().insert(key.to_vec().into_boxed_slice(), entry);
-                })
-            }
-            Shards::Stm(shards) => {
-                let cell = shards[idx].cell.clone();
-                self.stm_atomically(move |txn| {
-                    let mut map = (*txn.read(&cell)?).clone();
-                    map.insert(key.to_vec().into_boxed_slice(), entry.clone());
-                    txn.write(&cell, Arc::new(map));
-                    Ok(())
-                })
-            }
-        };
+        let stored = self.on_shard(idx, move |map| {
+            Arc::make_mut(map).insert(key.to_vec().into_boxed_slice(), entry.clone());
+        });
         stored.map(move |()| this.stats[idx].sets.incr())
     }
 
@@ -346,28 +351,13 @@ impl ShardedStore {
     pub fn delete(self: &Arc<Self>, key: Bytes, now: Nanos) -> ThreadM<bool> {
         let this = Arc::clone(self);
         let idx = self.shard_of(&key);
-        let removed = match &self.shards {
-            Shards::Mutex(shards) => {
-                let shard = &shards[idx];
-                let map = Arc::clone(&shard.map);
-                shard
-                    .gate
-                    .with_nbio(move || map.lock().remove(key.as_ref()))
+        let removed = self.on_shard(idx, move |map| {
+            if map.contains_key(key.as_ref()) {
+                Arc::make_mut(map).remove(key.as_ref())
+            } else {
+                None
             }
-            Shards::Stm(shards) => {
-                let cell = shards[idx].cell.clone();
-                self.stm_atomically(move |txn| {
-                    let map = txn.read(&cell)?;
-                    if !map.contains_key(key.as_ref()) {
-                        return Ok(None);
-                    }
-                    let mut map = (*map).clone();
-                    let old = map.remove(key.as_ref());
-                    txn.write(&cell, Arc::new(map));
-                    Ok(old)
-                })
-            }
-        };
+        });
         removed.map(move |old| match old {
             // Deleting an already-expired entry is a miss from the
             // client's point of view.
@@ -408,38 +398,14 @@ impl ShardedStore {
         let idx = self.shard_of(&key);
         let mut entry = entry;
         entry.version = self.stamp();
-        let stm_key = key.clone();
-        let apply = move |map: &mut ShardMap| -> bool {
+        let stored = self.on_shard(idx, move |map| {
             let occupied = map.get(key.as_ref()).is_some_and(|e| !e.is_expired(now));
             if occupied != want_occupied {
                 return false;
             }
-            map.insert(key.to_vec().into_boxed_slice(), entry.clone());
+            Arc::make_mut(map).insert(key.to_vec().into_boxed_slice(), entry.clone());
             true
-        };
-        let stored = match &self.shards {
-            Shards::Mutex(shards) => {
-                let shard = &shards[idx];
-                let map = Arc::clone(&shard.map);
-                shard.gate.with_nbio(move || apply(&mut map.lock()))
-            }
-            Shards::Stm(shards) => {
-                let cell = shards[idx].cell.clone();
-                self.stm_atomically(move |txn| {
-                    let snapshot = txn.read(&cell)?;
-                    let occupied = snapshot
-                        .get(stm_key.as_ref())
-                        .is_some_and(|e| !e.is_expired(now));
-                    if occupied != want_occupied {
-                        return Ok(false); // read-only fast path: no COW
-                    }
-                    let mut map = (*snapshot).clone();
-                    let stored = apply(&mut map);
-                    txn.write(&cell, Arc::new(map));
-                    Ok(stored)
-                })
-            }
-        };
+        });
         stored.map(move |stored| {
             if stored {
                 this.stats[idx].sets.incr();
@@ -461,50 +427,18 @@ impl ShardedStore {
         let idx = self.shard_of(&key);
         let mut entry = entry;
         entry.version = self.stamp();
-        let stm_key = key.clone();
-        let probe = move |map: &ShardMap| -> CasOutcome {
-            match map.get(stm_key.as_ref()) {
+        let result = self.on_shard(idx, move |map| {
+            let outcome = match map.get(key.as_ref()) {
                 None => CasOutcome::NotFound,
                 Some(e) if e.is_expired(now) => CasOutcome::NotFound,
                 Some(e) if e.version != expected => CasOutcome::Exists,
                 Some(_) => CasOutcome::Stored,
-            }
-        };
-        // The probe captures only cheaply-clonable state, so the STM arm
-        // can run it against the snapshot *before* paying the
-        // copy-on-write.
-        let stm_probe = probe.clone();
-        let apply = move |map: &mut ShardMap| -> CasOutcome {
-            let outcome = probe(map);
+            };
             if outcome == CasOutcome::Stored {
-                map.insert(key.to_vec().into_boxed_slice(), entry.clone());
+                Arc::make_mut(map).insert(key.to_vec().into_boxed_slice(), entry.clone());
             }
             outcome
-        };
-        let result = match &self.shards {
-            Shards::Mutex(shards) => {
-                let shard = &shards[idx];
-                let map = Arc::clone(&shard.map);
-                shard.gate.with_nbio(move || apply(&mut map.lock()))
-            }
-            Shards::Stm(shards) => {
-                let cell = shards[idx].cell.clone();
-                self.stm_atomically(move |txn| {
-                    let snapshot = txn.read(&cell)?;
-                    // Read-only fast paths: only a matching stamp commits
-                    // a write (and pays the copy-on-write); a stale or
-                    // missing stamp is answered from the snapshot alone.
-                    let outcome = stm_probe(&snapshot);
-                    if outcome != CasOutcome::Stored {
-                        return Ok(outcome);
-                    }
-                    let mut map = (*snapshot).clone();
-                    let outcome = apply(&mut map);
-                    txn.write(&cell, Arc::new(map));
-                    Ok(outcome)
-                })
-            }
-        };
+        });
         result.map(move |outcome| {
             let st = &this.stats[idx];
             match outcome {
@@ -536,63 +470,34 @@ impl ShardedStore {
         let idx = self.shard_of(&key);
         let version = self.stamp();
         let cap = self.cfg.max_value_bytes;
-        let stm_key = key.clone();
-        let stm_data = data.clone();
-        let probe = move |map: &ShardMap| -> ConcatOutcome {
-            match map.get(stm_key.as_ref()) {
-                None => ConcatOutcome::Missing,
-                Some(e) if e.is_expired(now) => ConcatOutcome::Missing,
-                Some(e) if e.value.len() + stm_data.len() > cap => ConcatOutcome::TooLarge,
-                Some(_) => ConcatOutcome::Stored,
-            }
-        };
-        let stm_probe = probe.clone();
-        let apply = move |map: &mut ShardMap| -> ConcatOutcome {
-            let outcome = probe(map);
-            if outcome == ConcatOutcome::Stored {
-                let e = map.get_mut(key.as_ref()).expect("probed live");
-                // Build the joined value exactly once, in a pooled
-                // region: each input byte is copied a single time and
-                // `freeze` hands the result over without another pass
-                // (the old path built a `Vec` and then copied it whole
-                // into a fresh `Bytes` allocation).
-                let mut joined = BufferPool::global().acquire();
-                joined.reserve(e.value.len() + data.len());
-                if prepend {
-                    joined.extend_from_slice(&data);
-                    joined.extend_from_slice(&e.value);
-                } else {
-                    joined.extend_from_slice(&e.value);
-                    joined.extend_from_slice(&data);
+        let result = self.on_shard(idx, move |map| {
+            let joined = match map.get(key.as_ref()) {
+                None => return ConcatOutcome::Missing,
+                Some(e) if e.is_expired(now) => return ConcatOutcome::Missing,
+                Some(e) if e.value.len() + data.len() > cap => return ConcatOutcome::TooLarge,
+                Some(e) => {
+                    // Build the joined value exactly once, in a pooled
+                    // region: each input byte is copied a single time and
+                    // `freeze` hands the result over without another pass.
+                    let mut joined = BufferPool::global().acquire();
+                    joined.reserve(e.value.len() + data.len());
+                    let (head, tail) = if prepend {
+                        (&data, &e.value)
+                    } else {
+                        (&e.value, &data)
+                    };
+                    joined.extend_from_slice(head);
+                    joined.extend_from_slice(tail);
+                    joined.freeze()
                 }
-                e.value = joined.freeze();
-                e.version = version;
-            }
-            outcome
-        };
-        let result = match &self.shards {
-            Shards::Mutex(shards) => {
-                let shard = &shards[idx];
-                let map = Arc::clone(&shard.map);
-                shard.gate.with_nbio(move || apply(&mut map.lock()))
-            }
-            Shards::Stm(shards) => {
-                let cell = shards[idx].cell.clone();
-                self.stm_atomically(move |txn| {
-                    let snapshot = txn.read(&cell)?;
-                    // Read-only fast paths: only a live, in-cap entry pays
-                    // the copy-on-write.
-                    let outcome = stm_probe(&snapshot);
-                    if outcome != ConcatOutcome::Stored {
-                        return Ok(outcome);
-                    }
-                    let mut map = (*snapshot).clone();
-                    let outcome = apply(&mut map);
-                    txn.write(&cell, Arc::new(map));
-                    Ok(outcome)
-                })
-            }
-        };
+            };
+            let e = Arc::make_mut(map)
+                .get_mut(key.as_ref())
+                .expect("entry is live");
+            e.value = joined;
+            e.version = version;
+            ConcatOutcome::Stored
+        });
         result.map(move |outcome| {
             if outcome == ConcatOutcome::Stored {
                 if prepend {
@@ -618,40 +523,17 @@ impl ShardedStore {
         let this = Arc::clone(self);
         let idx = self.shard_of(&key);
         let version = self.stamp();
-        let stm_key = key.clone();
-        let apply = move |map: &mut ShardMap| -> bool {
-            match map.get_mut(key.as_ref()) {
-                Some(e) if !e.is_expired(now) => {
-                    e.expires_at = expires_at;
-                    e.version = version;
-                    true
-                }
-                _ => false,
+        let touched = self.on_shard(idx, move |map| {
+            if map.get(key.as_ref()).is_none_or(|e| e.is_expired(now)) {
+                return false;
             }
-        };
-        let touched = match &self.shards {
-            Shards::Mutex(shards) => {
-                let shard = &shards[idx];
-                let map = Arc::clone(&shard.map);
-                shard.gate.with_nbio(move || apply(&mut map.lock()))
-            }
-            Shards::Stm(shards) => {
-                let cell = shards[idx].cell.clone();
-                self.stm_atomically(move |txn| {
-                    let snapshot = txn.read(&cell)?;
-                    let live = snapshot
-                        .get(stm_key.as_ref())
-                        .is_some_and(|e| !e.is_expired(now));
-                    if !live {
-                        return Ok(false); // read-only fast path: no COW
-                    }
-                    let mut map = (*snapshot).clone();
-                    let touched = apply(&mut map);
-                    txn.write(&cell, Arc::new(map));
-                    Ok(touched)
-                })
-            }
-        };
+            let e = Arc::make_mut(map)
+                .get_mut(key.as_ref())
+                .expect("entry is live");
+            e.expires_at = expires_at;
+            e.version = version;
+            true
+        });
         touched.map(move |touched| {
             if touched {
                 this.stats[idx].touches.incr();
@@ -672,19 +554,18 @@ impl ShardedStore {
         let this = Arc::clone(self);
         let idx = self.shard_of(&key);
         let version = self.stamp();
-        let stm_key = key.clone();
-        let apply = move |map: &mut ShardMap| -> CounterResult {
-            let Some(e) = map.get_mut(key.as_ref()) else {
-                return CounterResult::NotFound;
+        let result = self.on_shard(idx, move |map| {
+            let cur = match map.get(key.as_ref()) {
+                None => return CounterResult::NotFound,
+                Some(e) if e.is_expired(now) => {
+                    Arc::make_mut(map).remove(key.as_ref());
+                    return CounterResult::NotFound;
+                }
+                Some(e) => std::str::from_utf8(&e.value)
+                    .ok()
+                    .and_then(|s| s.parse::<u64>().ok()),
             };
-            if e.is_expired(now) {
-                map.remove(key.as_ref());
-                return CounterResult::NotFound;
-            }
-            let Some(cur) = std::str::from_utf8(&e.value)
-                .ok()
-                .and_then(|s| s.parse::<u64>().ok())
-            else {
+            let Some(cur) = cur else {
                 return CounterResult::NotNumeric;
             };
             let next = if negative {
@@ -692,45 +573,13 @@ impl ShardedStore {
             } else {
                 cur.wrapping_add(delta)
             };
+            let e = Arc::make_mut(map)
+                .get_mut(key.as_ref())
+                .expect("entry is live");
             e.value = Bytes::from(next.to_string());
             e.version = version;
             CounterResult::Ok(next)
-        };
-        let result = match &self.shards {
-            Shards::Mutex(shards) => {
-                let shard = &shards[idx];
-                let map = Arc::clone(&shard.map);
-                shard.gate.with_nbio(move || apply(&mut map.lock()))
-            }
-            Shards::Stm(shards) => {
-                let cell = shards[idx].cell.clone();
-                self.stm_atomically(move |txn| {
-                    // Read-only fast paths: don't copy-on-write the
-                    // whole shard when the outcome cannot be a
-                    // committed write.
-                    let snapshot = txn.read(&cell)?;
-                    match snapshot.get(stm_key.as_ref()) {
-                        None => return Ok(CounterResult::NotFound),
-                        Some(e) if !e.is_expired(now) => {
-                            let numeric = std::str::from_utf8(&e.value)
-                                .ok()
-                                .and_then(|s| s.parse::<u64>().ok())
-                                .is_some();
-                            if !numeric {
-                                return Ok(CounterResult::NotNumeric);
-                            }
-                        }
-                        // Expired: fall through to the write path so
-                        // the removal commits.
-                        Some(_) => {}
-                    }
-                    let mut map = (*snapshot).clone();
-                    let res = apply(&mut map);
-                    txn.write(&cell, Arc::new(map));
-                    Ok(res)
-                })
-            }
-        };
+        });
         result.map(move |res| {
             if matches!(res, CounterResult::Ok(_)) {
                 this.stats[idx].counter_ops.incr();
@@ -744,31 +593,13 @@ impl ShardedStore {
     /// janitor yields between shards instead of stalling the scheduler.
     pub fn purge_shard(self: &Arc<Self>, idx: usize, now: Nanos) -> ThreadM<usize> {
         let this = Arc::clone(self);
-        let purge = move |map: &mut ShardMap| {
-            let before = map.len();
-            map.retain(|_, e| !e.is_expired(now));
-            before - map.len()
-        };
-        let purged = match &self.shards {
-            Shards::Mutex(shards) => {
-                let shard = &shards[idx];
-                let map = Arc::clone(&shard.map);
-                shard.gate.with_nbio(move || purge(&mut map.lock()))
+        let purged = self.on_shard(idx, move |map| {
+            let expired = map.values().filter(|e| e.is_expired(now)).count();
+            if expired > 0 {
+                Arc::make_mut(map).retain(|_, e| !e.is_expired(now));
             }
-            Shards::Stm(shards) => {
-                let cell = shards[idx].cell.clone();
-                self.stm_atomically(move |txn| {
-                    let snapshot = txn.read(&cell)?;
-                    if !snapshot.values().any(|e| e.is_expired(now)) {
-                        return Ok(0); // read-only fast path
-                    }
-                    let mut map = (*snapshot).clone();
-                    let n = purge(&mut map);
-                    txn.write(&cell, Arc::new(map));
-                    Ok(n)
-                })
-            }
-        };
+            expired
+        });
         purged.map(move |n| {
             this.stats[idx].expired_purged.add(n as u64);
             n
@@ -779,30 +610,7 @@ impl ShardedStore {
     pub fn len_now(&self) -> usize {
         match &self.shards {
             Shards::Mutex(shards) => shards.iter().map(|s| s.map.lock().len()).sum(),
-            Shards::Stm(shards) => shards.iter().map(|s| s.cell.read_now().len()).sum(),
-        }
-    }
-
-    /// Convenience: monadic multi-step `set` from protocol fields.
-    pub fn set_from_protocol(
-        self: &Arc<Self>,
-        key: Bytes,
-        flags: u32,
-        exptime: u64,
-        value: Bytes,
-    ) -> ThreadM<()> {
-        let this = Arc::clone(self);
-        do_m! {
-            let now <- eveth_core::syscall::sys_time();
-            this.set(
-                key,
-                Entry {
-                    value,
-                    flags,
-                    expires_at: ShardedStore::deadline(now, exptime),
-                    version: 0,
-                },
-            )
+            Shards::Stm(cells) => cells.iter().map(|c| c.read_now().len()).sum(),
         }
     }
 }
@@ -832,6 +640,7 @@ pub fn fnv1a(data: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eveth_core::do_m;
     use eveth_core::runtime::Runtime;
 
     fn store(backend: Backend) -> Arc<ShardedStore> {
@@ -1027,6 +836,162 @@ mod tests {
             );
             rt.shutdown();
         }
+    }
+
+    /// A one-shard store with a 4-byte value cap, so every key shares
+    /// shard 0 and an append can overflow.
+    fn one_shard(backend: Backend) -> Arc<ShardedStore> {
+        ShardedStore::new(StoreConfig {
+            shards: 1,
+            backend,
+            max_value_bytes: 4,
+        })
+    }
+
+    /// Runs `op`, checks it returns `want`, and reports whether the STM
+    /// shard `cell` still holds the same map `Arc` afterwards (the held
+    /// `before` keeps the address from being reused).
+    fn keeps_arc<A>(rt: &Runtime, cell: &TVar<Arc<ShardMap>>, op: ThreadM<A>, want: A) -> bool
+    where
+        A: PartialEq + fmt::Debug + Send + 'static,
+    {
+        let before = cell.read_now();
+        assert_eq!(rt.block_on(op), want);
+        Arc::ptr_eq(&before, &cell.read_now())
+    }
+
+    #[test]
+    fn executor_copies_the_shard_only_on_a_stm_write_and_never_under_the_mutex() {
+        let rt = Runtime::builder().workers(1).build();
+        let k = || Bytes::from_static(b"k");
+        let miss = || Bytes::from_static(b"miss");
+        let data = || Bytes::from_static(b"tail");
+
+        // (a) STM: every read-only outcome leaves the TVar's Arc in place.
+        let s = one_shard(Backend::Stm);
+        let Shards::Stm(cells) = &s.shards else {
+            unreachable!("built with Backend::Stm")
+        };
+        let cell = cells[0].clone();
+        assert!(
+            !keeps_arc(&rt, &cell, s.set(k(), entry("v")), ()),
+            "a write must commit a new map"
+        );
+        let stamp = rt.block_on(s.get(k(), 0)).unwrap().version;
+        let hit = Some(Entry {
+            version: stamp,
+            ..entry("v")
+        });
+        let read_only: Vec<(&str, bool)> = vec![
+            ("get hit", keeps_arc(&rt, &cell, s.get(k(), 0), hit)),
+            ("get miss", keeps_arc(&rt, &cell, s.get(miss(), 0), None)),
+            (
+                "add live",
+                keeps_arc(&rt, &cell, s.add(k(), entry("a"), 0), false),
+            ),
+            (
+                "replace miss",
+                keeps_arc(&rt, &cell, s.replace(miss(), entry("r"), 0), false),
+            ),
+            (
+                "cas stale",
+                keeps_arc(
+                    &rt,
+                    &cell,
+                    s.cas(k(), entry("c"), stamp + 100, 0),
+                    CasOutcome::Exists,
+                ),
+            ),
+            (
+                "cas miss",
+                keeps_arc(
+                    &rt,
+                    &cell,
+                    s.cas(miss(), entry("c"), stamp, 0),
+                    CasOutcome::NotFound,
+                ),
+            ),
+            (
+                "touch miss",
+                keeps_arc(&rt, &cell, s.touch(miss(), None, 0), false),
+            ),
+            (
+                "incr non-numeric",
+                keeps_arc(
+                    &rt,
+                    &cell,
+                    s.counter_op(k(), 1, false, 0),
+                    CounterResult::NotNumeric,
+                ),
+            ),
+            (
+                "append miss",
+                keeps_arc(
+                    &rt,
+                    &cell,
+                    s.concat(miss(), data(), false, 0),
+                    ConcatOutcome::Missing,
+                ),
+            ),
+            (
+                "append over cap",
+                keeps_arc(
+                    &rt,
+                    &cell,
+                    s.concat(k(), data(), false, 0),
+                    ConcatOutcome::TooLarge,
+                ),
+            ),
+            ("purge none", keeps_arc(&rt, &cell, s.purge_shard(0, 0), 0)),
+        ];
+        for (what, kept) in read_only {
+            assert!(kept, "STM {what}: a read-only outcome replaced the map");
+        }
+        assert!(
+            !keeps_arc(&rt, &cell, s.delete(k(), 0), true),
+            "a delete must commit a new map"
+        );
+
+        // (b) Mutex: the shard's Arc is unshared, so writes stay in place.
+        let s = one_shard(Backend::Mutex);
+        let Shards::Mutex(shards) = &s.shards else {
+            unreachable!("built with Backend::Mutex")
+        };
+        let map = Arc::clone(&shards[0].map);
+        let origin = Arc::as_ptr(&map.lock());
+        let expiring = Entry {
+            expires_at: Some(10),
+            ..entry("old")
+        };
+        let writes: Vec<(&str, ThreadM<()>)> = vec![
+            ("set", s.set(k(), entry("1"))),
+            ("add", s.add(miss(), entry("a"), 0).map(|_| ())),
+            ("replace", s.replace(miss(), entry("r"), 0).map(|_| ())),
+            ("incr", s.counter_op(k(), 2, false, 0).map(|_| ())),
+            (
+                "append",
+                s.concat(k(), Bytes::from_static(b"0"), false, 0)
+                    .map(|_| ()),
+            ),
+            ("touch", s.touch(k(), Some(100), 0).map(|_| ())),
+            ("delete", s.delete(miss(), 0).map(|_| ())),
+            ("set expiring", s.set(miss(), expiring)),
+            ("purge", s.purge_shard(0, 10).map(|_| ())),
+        ];
+        for (what, op) in writes {
+            rt.block_on(op);
+            assert_eq!(
+                Arc::as_ptr(&map.lock()),
+                origin,
+                "mutex {what} reallocated the shard map"
+            );
+        }
+        // The writes really landed in place: "1" + 2 = "3", then "30";
+        // the purge reclaimed the expiring entry.
+        assert_eq!(s.len_now(), 1);
+        let got = rt.block_on(s.get(k(), 0)).unwrap();
+        assert_eq!(got.value, Bytes::from_static(b"30"));
+        rt.shutdown();
     }
 
     #[test]

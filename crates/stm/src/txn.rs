@@ -171,26 +171,25 @@ impl Txn {
     }
 }
 
-/// Runs one optimistic attempt; `Ok(Ok(v))` = committed, `Ok(Err(abort))` =
-/// try again (possibly after blocking), keeping the read set for
-/// retry-parking.
-fn attempt<A, F>(body: &F) -> Result<A, (StmAbort, Vec<Box<dyn StmEntry>>)>
+/// Why an attempt did not commit, with what a `retry` needs to park: the
+/// read set and the snapshot version (`rv`) those reads were taken at.
+type Aborted = (StmAbort, Vec<Box<dyn StmEntry>>, u64);
+
+/// Runs one optimistic attempt; `Ok(v)` = committed, `Err` = try again
+/// (possibly after blocking), keeping the read set and its snapshot
+/// version for retry-parking.
+fn attempt<A, F>(body: &F) -> Result<A, Aborted>
 where
     F: Fn(&mut Txn) -> StmResult<A>,
 {
     let mut txn = Txn::begin();
+    let rv = txn.rv;
     match body(&mut txn) {
-        Ok(v) => {
-            let reads_backup: Vec<Box<dyn StmEntry>> = Vec::new();
-            match txn.commit() {
-                Ok(()) => Ok(v),
-                Err(abort) => Err((abort, reads_backup)),
-            }
-        }
-        Err(abort) => {
-            let reads = std::mem::take(&mut txn.reads);
-            Err((abort, reads))
-        }
+        Ok(v) => txn
+            .commit()
+            .map(|()| v)
+            .map_err(|abort| (abort, Vec::new(), rv)),
+        Err(abort) => Err((abort, std::mem::take(&mut txn.reads), rv)),
     }
 }
 
@@ -307,29 +306,33 @@ where
             if let Some(stats) = &stats {
                 match &res {
                     Ok(_) => stats.commits.fetch_add(1, Ordering::Relaxed),
-                    Err((StmAbort::Conflict, _)) => stats.conflicts.fetch_add(1, Ordering::Relaxed),
-                    Err((StmAbort::Retry, _)) => stats.retry_waits.fetch_add(1, Ordering::Relaxed),
+                    Err((StmAbort::Conflict, ..)) => {
+                        stats.conflicts.fetch_add(1, Ordering::Relaxed)
+                    }
+                    Err((StmAbort::Retry, ..)) => stats.retry_waits.fetch_add(1, Ordering::Relaxed),
                 };
             }
             res
         })
         .bind(move |res| match res {
             Ok(v) => ThreadM::pure(Loop::Break(v)),
-            Err((StmAbort::Conflict, _)) => sys_yield().map(|_| Loop::Continue(())),
-            Err((StmAbort::Retry, reads)) => {
+            Err((StmAbort::Conflict, ..)) => sys_yield().map(|_| Loop::Continue(())),
+            Err((StmAbort::Retry, reads, rv)) => {
                 // Park on the union of the read set; any commit to any of
                 // those variables wakes us (one-shot unparker → exactly one
-                // resume even if several fire).
+                // resume even if several fire). The attempt ran one trace
+                // node earlier, so a commit may already have landed and
+                // found no waiter: after registering, revalidate the reads
+                // against the attempt's snapshot and wake ourselves if any
+                // moved (GHC's order). An empty read set would sleep
+                // forever; it spins instead (GHC calls it a programming
+                // error).
                 sys_park(move |u| {
-                    if reads.is_empty() {
-                        // Retrying with an empty read set would sleep
-                        // forever; treat as a spin (matches GHC, which
-                        // considers it a programming error).
-                        u.unpark();
-                        return;
-                    }
                     for r in reads.iter() {
                         r.add_waiter(u.clone());
+                    }
+                    if reads.is_empty() || reads.iter().any(|r| !r.version_ok(rv)) {
+                        u.unpark();
                     }
                 })
                 .map(|_| Loop::Continue(()))
@@ -348,8 +351,8 @@ where
     loop {
         match attempt(&body) {
             Ok(v) => return v,
-            Err((StmAbort::Conflict, _)) => std::thread::yield_now(),
-            Err((StmAbort::Retry, _)) => std::thread::sleep(std::time::Duration::from_micros(100)),
+            Err((StmAbort::Conflict, ..)) => std::thread::yield_now(),
+            Err((StmAbort::Retry, ..)) => std::thread::sleep(std::time::Duration::from_micros(100)),
         }
     }
 }

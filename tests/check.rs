@@ -18,6 +18,8 @@
 //! * unsynchronized writes to a declared [`Shared`] cell race; the same
 //!   writes under a monadic `Mutex` are ordered by the release→acquire
 //!   edge and pass;
+//! * an STM `retry` waiter whose releasing writer commits before the
+//!   waiter has parked still wakes (the lost-wakeup regression);
 //! * the existing suites — `Chan`/`MVar`/`Signal`/`choose`, STM, the
 //!   service framework, the KV server and the cluster router — all pass
 //!   the checker under exploration (zero false positives).
@@ -42,7 +44,7 @@ use eveth::core::time::MILLIS;
 use eveth::kv::loadgen::{client_thread, KvLoadConfig, KvLoadStats};
 use eveth::kv::server::{KvConfig, KvServer};
 use eveth::kv::store::StoreConfig;
-use eveth::simos::SimRuntime;
+use eveth::simos::{SimClock, SimConfig, SimRuntime};
 use eveth::stm::{atomically_m, TVar};
 use eveth::{do_m, for_each_m, loop_m, Loop, ThreadM};
 use eveth_check::{schedule_count, Exploration, Explorer, Shared, Violation};
@@ -620,6 +622,46 @@ fn stm_commits_and_retry_wakeups_pass_under_exploration() {
     let explorer = Explorer::new(schedule_count(6, 32), 0x57A7);
     let ex = explorer.explore(stm_program);
     assert_clean("stm", &explorer, &ex);
+}
+
+/// Regression for the `retry` lost wakeup: a waiter spawned *before* the
+/// single writer that releases it. At one step per turn, the writer's
+/// commit lands after the waiter's attempt has returned `Retry` but
+/// before it has parked on its read set, so the commit finds no waiter to
+/// wake. The waiter must notice the moved version itself and re-run.
+#[test]
+fn stm_retry_waiter_spawned_before_its_writer_is_not_stranded() {
+    let sim = SimRuntime::new(
+        SimClock::new(),
+        SimConfig {
+            slice: 1,
+            ..SimConfig::default()
+        },
+    );
+    let tv: TVar<u64> = TVar::new(0);
+    let seen = Arc::new(StdMutex::new(None));
+    let (watch, out) = (tv.clone(), Arc::clone(&seen));
+    sim.spawn(
+        atomically_m(move |t| {
+            let v = t.read(&watch)?;
+            if v < 1 {
+                return t.retry();
+            }
+            Ok(v)
+        })
+        .bind(move |v| sys_nbio(move || *out.lock().unwrap() = Some(v))),
+    );
+    sim.spawn(atomically_m(move |t| {
+        let v = t.read(&tv)?;
+        t.write(&tv, v + 1);
+        Ok(())
+    }));
+    sim.run();
+    assert_eq!(
+        *seen.lock().unwrap(),
+        Some(1),
+        "the retry waiter stayed parked after the writer committed"
+    );
 }
 
 // ---------------------------------------------------------------------------
